@@ -7,6 +7,7 @@
 //! round-trip by writing a whole batch of id-tagged frames before reading
 //! any response, matching answers back by echoed id.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -146,9 +147,9 @@ pub struct ReachClient {
     /// Constant fields stamped onto every `client.request` span (e.g. the
     /// shard index a router assigned this backend connection).
     trace_labels: Vec<(&'static str, u64)>,
-    /// One span per in-flight wire request, by id; settled (and emitted)
-    /// when the matching response frame arrives.
-    pending_spans: Vec<(u64, SpanGuard<'static>)>,
+    /// One span per in-flight wire request, by id in write order; settled
+    /// (and emitted) when the matching response frame arrives.
+    pending_spans: VecDeque<(u64, SpanGuard<'static>)>,
     /// The server-timing block echoed on the most recent response that
     /// carried one (only trace-context-tagged requests are echoed).
     last_server_timing: Option<ServerTiming>,
@@ -179,7 +180,7 @@ impl ReachClient {
             telemetry: uof_telemetry::global(),
             trace_parent: None,
             trace_labels: Vec::new(),
-            pending_spans: Vec::new(),
+            pending_spans: VecDeque::new(),
             last_server_timing: None,
             max_retries: 8,
             max_backoff: DEFAULT_MAX_BACKOFF,
@@ -384,7 +385,7 @@ impl ReachClient {
             }
             let span = builder.field("id", id.into()).start();
             tagged = tagged.with_trace(span.trace_context());
-            self.pending_spans.push((id, span));
+            self.pending_spans.push_back((id, span));
         }
         encode(&tagged)
     }
@@ -394,12 +395,11 @@ impl ReachClient {
     /// Id-less frames settle the oldest in-flight span — the in-order
     /// contract id-less servers follow.
     fn settle_span(&mut self, id: Option<u64>, timing: Option<&ServerTiming>) {
-        let position = match id {
-            Some(got) => self.pending_spans.iter().position(|&(p, _)| p == got),
-            None => (!self.pending_spans.is_empty()).then_some(0),
+        let span = match id {
+            Some(got) => take_pending(&mut self.pending_spans, got),
+            None => self.pending_spans.pop_front().map(|(_, span)| span),
         };
-        let Some(position) = position else { return };
-        let (_, mut span) = self.pending_spans.remove(position);
+        let Some(mut span) = span else { return };
         if let Some(t) = timing {
             span.annotate("server_queue_ns", t.queue_ns.into());
             span.annotate("server_handler_ns", t.handler_ns.into());
@@ -462,11 +462,11 @@ impl ReachClient {
         slots.resize_with(requests.len(), || None);
         // In-flight (id, slot) pairs, in write order — the order an id-less
         // server's responses arrive in.
-        let mut pending: Vec<(u64, usize)> = Vec::with_capacity(requests.len());
+        let mut pending: VecDeque<(u64, usize)> = VecDeque::with_capacity(requests.len());
         let mut wire = Vec::new();
         for (slot, request) in requests.iter().enumerate() {
             let id = self.fresh_id();
-            pending.push((id, slot));
+            pending.push_back((id, slot));
             let frame = self.tagged(request, id);
             wire.extend_from_slice(&frame);
         }
@@ -477,8 +477,8 @@ impl ReachClient {
             while !pending.is_empty() {
                 let (id, response) = self.read_response()?;
                 let slot = match id {
-                    Some(got) => match pending.iter().position(|&(p, _)| p == got) {
-                        Some(k) => pending.remove(k).1,
+                    Some(got) => match take_pending(&mut pending, got) {
+                        Some(slot) => slot,
                         // A late answer to an id abandoned before this
                         // batch: identified, discarded, harmless.
                         None => continue,
@@ -487,7 +487,9 @@ impl ReachClient {
                         if self.desynced {
                             return Err(ClientError::Desynchronized);
                         }
-                        pending.remove(0).1
+                        // The loop condition keeps `pending` non-empty.
+                        let Some((_, slot)) = pending.pop_front() else { break };
+                        slot
                     }
                 };
                 if let ReachResponse::RateLimited { retry_after_ms } = response {
@@ -511,7 +513,7 @@ impl ReachClient {
             let mut wire = Vec::new();
             for &(slot, _) in &rate_limited {
                 let id = self.fresh_id();
-                pending.push((id, slot));
+                pending.push_back((id, slot));
                 let frame = self.tagged(&requests[slot], id);
                 wire.extend_from_slice(&frame);
             }
@@ -582,6 +584,14 @@ impl ReachClient {
             self.codec.feed(&buf[..n]);
         }
     }
+}
+
+/// Removes and returns the entry for `id` from an in-flight queue kept in
+/// write order. Servers answer in order, so the match is almost always the
+/// front entry, and both the scan and the removal then cost O(1).
+fn take_pending<T>(pending: &mut VecDeque<(u64, T)>, id: u64) -> Option<T> {
+    let k = pending.iter().position(|(p, _)| *p == id)?;
+    pending.remove(k).map(|(_, entry)| entry)
 }
 
 /// Labels a response that arrived where it cannot belong.

@@ -302,11 +302,16 @@ impl std::error::Error for FrameError {}
 ///
 /// The newline scan is incremental: bytes checked by a previous
 /// [`FrameCodec::next_frame`] are never rescanned, so trickle-fed input
-/// (one TCP segment at a time) costs O(total bytes), not O(n²).
+/// (one TCP segment at a time) costs O(total bytes), not O(n²). Popping a
+/// frame only moves a read offset; the consumed prefix is dropped once per
+/// [`FrameCodec::feed`], so a read batch of N frames moves its leftover
+/// bytes once, not N times.
 #[derive(Debug, Default)]
 pub struct FrameCodec {
     buffer: BytesMut,
-    /// Prefix of `buffer` already known to contain no newline.
+    /// Prefix of `buffer` already handed out as frames.
+    consumed: usize,
+    /// Bytes past `consumed` already known to contain no newline.
     scanned: usize,
 }
 
@@ -318,6 +323,8 @@ impl FrameCodec {
 
     /// Feeds received bytes into the buffer.
     pub fn feed(&mut self, data: &[u8]) {
+        self.buffer.advance(self.consumed);
+        self.consumed = 0;
         self.buffer.extend_from_slice(data);
     }
 
@@ -329,26 +336,28 @@ impl FrameCodec {
     /// [`MAX_FRAME`] — whether its newline has already arrived or not; the
     /// connection should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        if let Some(off) = self.buffer[self.scanned..].iter().position(|&b| b == b'\n') {
+        let unread = &self.buffer[self.consumed..];
+        if let Some(off) = unread[self.scanned..].iter().position(|&b| b == b'\n') {
             let pos = self.scanned + off;
             self.scanned = 0;
             if pos > MAX_FRAME {
                 return Err(FrameError::Oversized);
             }
-            let mut frame = self.buffer.split_to(pos + 1);
-            frame.truncate(pos); // drop the newline
-            return Ok(Some(frame.to_vec()));
+            let frame = unread[..pos].to_vec();
+            self.consumed += pos + 1;
+            return Ok(Some(frame));
         }
-        self.scanned = self.buffer.len();
-        if self.buffer.len() > MAX_FRAME {
+        self.scanned = unread.len();
+        if unread.len() > MAX_FRAME {
             return Err(FrameError::Oversized);
         }
         Ok(None)
     }
 
-    /// Bytes currently buffered (for tests and diagnostics).
+    /// Bytes currently buffered and not yet popped (for tests and
+    /// diagnostics).
     pub fn buffered(&self) -> usize {
-        self.buffer.remaining()
+        self.buffer.remaining() - self.consumed
     }
 
     /// Bytes already scanned for a newline — the incremental-scan cursor
@@ -986,6 +995,227 @@ mod tests {
         let mut codec = FrameCodec::new();
         codec.feed(&vec![b'x'; MAX_FRAME + 1]);
         assert_eq!(codec.next_frame(), Err(FrameError::Oversized));
+    }
+
+    /// Every wire form this crate emits, paired with its exact bytes
+    /// (newline excluded). Pinned so a codec change cannot alter a single
+    /// byte on the wire: old peers and committed traces must keep parsing.
+    fn golden_frames() -> Vec<(Vec<u8>, &'static str)> {
+        use reach_cache::CacheStats;
+        use uof_telemetry::trace::TraceField;
+        use uof_telemetry::{
+            BucketCount, CounterSnapshot, FieldValue, GaugeSnapshot, HistogramSnapshot,
+            RegistrySnapshot, TraceContext, TraceEvent,
+        };
+
+        let reach =
+            ReachResponse::Reach { reported: 1_000, floored: true, too_narrow_warning: false };
+        let timing =
+            ServerTiming { queue_ns: 1_200, handler_ns: u64::MAX, cache_hit: true, engine_ns: 0 };
+        let stats = CacheStats {
+            enabled: true,
+            epoch: 3,
+            shards: 16,
+            capacity: 65_536,
+            entries: 1_234,
+            hits: u64::MAX,
+            misses: 0,
+            single_flight_waits: 7,
+            insertions: 1_240,
+            evictions: 6,
+            invalidations: 2,
+            prefix_entries: 200,
+            prefix_hits: 199,
+            prefix_misses: 1,
+            prefix_extensions: 0,
+        };
+        let registry = RegistrySnapshot {
+            counters: vec![CounterSnapshot { name: "reach.requests.scalar".into(), value: 7 }],
+            gauges: vec![GaugeSnapshot { name: "reach.requests.in_flight".into(), value: -1 }],
+            histograms: vec![HistogramSnapshot {
+                name: "reach.request.scalar".into(),
+                count: 2,
+                sum: 84_000,
+                buckets: vec![
+                    BucketCount { le: 50_000, count: 2 },
+                    BucketCount { le: u64::MAX, count: 0 },
+                ],
+            }],
+        };
+        let field = |key, value| TraceField { key, value };
+        let event = TraceEvent {
+            span: "server.frame \"q\"\\".into(),
+            seq: 42,
+            trace_id: 0xABCD,
+            span_id: 0xABCE,
+            parent_span_id: 0,
+            start_ns: 1_000_000_007,
+            dur_ns: 3_300,
+            fields: vec![
+                field("queue_ns", FieldValue::U64(u64::MAX)),
+                field("delta", FieldValue::I64(i64::MIN)),
+                field("share", FieldValue::F64(0.1)),
+                field("tiny", FieldValue::F64(1e-7)),
+                field("huge", FieldValue::F64(1e21)),
+                field("nan", FieldValue::F64(f64::NAN)),
+                field("cache_hit", FieldValue::Bool(true)),
+                field("label", FieldValue::Str("caf\u{e9}\t\u{1F600}\u{1}\u{7f}/".into())),
+            ],
+        };
+        let line = |frame: Vec<u8>| {
+            assert_eq!(frame.last(), Some(&b'\n'), "every frame ends in its newline");
+            frame[..frame.len() - 1].to_vec()
+        };
+        vec![
+            (
+                line(encode(&reach)),
+                r#"{"kind":"reach","reported":1000,"floored":true,"too_narrow_warning":false}"#,
+            ),
+            (
+                line(encode(&ReachResponse::RateLimited { retry_after_ms: 250 })),
+                r#"{"kind":"rate_limited","retry_after_ms":250}"#,
+            ),
+            (
+                line(encode(&ReachResponse::Error {
+                    message: "bad \"q\" \\ /\n\r\t\u{8}\u{c}\u{0}\u{1f} caf\u{e9} \u{2028} \u{1F600}"
+                        .into(),
+                })),
+                "{\"kind\":\"error\",\"message\":\"bad \\\"q\\\" \\\\ /\\n\\r\\t\\b\\f\\u0000\\u001f \
+                 caf\u{e9} \u{2028} \u{1F600}\"}",
+            ),
+            (
+                line(encode(&ReachResponse::Nested {
+                    reaches: vec![
+                        ReachPoint { reported: 500, floored: false, too_narrow_warning: false },
+                        ReachPoint { reported: 20, floored: true, too_narrow_warning: true },
+                    ],
+                })),
+                r#"{"kind":"nested","reaches":[{"reported":500,"floored":false,"too_narrow_warning":false},{"reported":20,"floored":true,"too_narrow_warning":true}]}"#,
+            ),
+            (
+                line(encode(&ReachResponse::Nested { reaches: vec![] })),
+                r#"{"kind":"nested","reaches":[]}"#,
+            ),
+            (
+                line(encode(&ReachResponse::Stats { stats })),
+                r#"{"kind":"stats","stats":{"enabled":true,"epoch":3,"shards":16,"capacity":65536,"entries":1234,"hits":18446744073709551615,"misses":0,"single_flight_waits":7,"insertions":1240,"evictions":6,"invalidations":2,"prefix_entries":200,"prefix_hits":199,"prefix_misses":1,"prefix_extensions":0}}"#,
+            ),
+            (
+                line(encode(&ReachResponse::StatsSnapshot { registry })),
+                r#"{"kind":"stats_snapshot","registry":{"counters":[{"name":"reach.requests.scalar","value":7}],"gauges":[{"name":"reach.requests.in_flight","value":-1}],"histograms":[{"name":"reach.request.scalar","count":2,"sum":84000,"buckets":[{"le":50000,"count":2},{"le":18446744073709551615,"count":0}]}]}}"#,
+            ),
+            (
+                line(encode(&ReachResponse::SampledReach {
+                    reported: 750,
+                    floored: false,
+                    too_narrow_warning: true,
+                })),
+                r#"{"kind":"sampled_reach","reported":750,"floored":false,"too_narrow_warning":true}"#,
+            ),
+            (
+                line(encode(&ReachResponse::ShardPartials {
+                    generation: 3,
+                    chunks: vec![0, 2, u32::MAX],
+                    values: vec![
+                        vec![1.5f64.to_bits()],
+                        vec![],
+                        vec![(-0.0f64).to_bits(), u64::MAX],
+                    ],
+                })),
+                r#"{"kind":"shard_partials","generation":3,"chunks":[0,2,4294967295],"values":[[4609434218613702656],[],[9223372036854775808,18446744073709551615]]}"#,
+            ),
+            (
+                line(encode_response_frame(Some(7), None, &reach)),
+                r#"{"id":7,"kind":"reach","reported":1000,"floored":true,"too_narrow_warning":false}"#,
+            ),
+            (
+                line(encode_response_frame(Some(u64::MAX), Some(&timing), &reach)),
+                r#"{"id":18446744073709551615,"st":[1200,18446744073709551615,1,0],"kind":"reach","reported":1000,"floored":true,"too_narrow_warning":false}"#,
+            ),
+            (
+                line(encode_response_frame(None, Some(&timing), &reach)),
+                r#"{"st":[1200,18446744073709551615,1,0],"kind":"reach","reported":1000,"floored":true,"too_narrow_warning":false}"#,
+            ),
+            (
+                line(encode(&ReachRequest::scalar(
+                    vec!["US".into(), "ES".into()],
+                    vec![0, 5, u32::MAX],
+                ))),
+                r#"{"v":1,"locations":["US","ES"],"interests":[0,5,4294967295],"nested":null,"stats":null,"snapshot":null,"sampled":null,"id":null,"shard":null,"trace":null}"#,
+            ),
+            (
+                line(encode(
+                    &ReachRequest::nested(vec!["FR".into()], vec![9, 3])
+                        .with_id(42)
+                        .with_trace(Some(TraceContext { trace_id: 0xABCD, parent_span_id: u64::MAX })),
+                )),
+                r#"{"v":1,"locations":["FR"],"interests":[9,3],"nested":true,"stats":null,"snapshot":null,"sampled":null,"id":42,"shard":null,"trace":[43981,18446744073709551615]}"#,
+            ),
+            (
+                line(encode(&ReachRequest::stats())),
+                r#"{"v":1,"locations":[],"interests":[],"nested":null,"stats":true,"snapshot":null,"sampled":null,"id":null,"shard":null,"trace":null}"#,
+            ),
+            (
+                line(encode(&ReachRequest::sampled(vec![], vec![1]).with_shard().with_id(0))),
+                r#"{"v":1,"locations":[],"interests":[1],"nested":null,"stats":null,"snapshot":null,"sampled":true,"id":0,"shard":true,"trace":null}"#,
+            ),
+            // The line `Tracer::emit` writes, newline excluded.
+            (
+                serde_json::to_vec(&event).unwrap(),
+                "{\"span\":\"server.frame \\\"q\\\"\\\\\",\"seq\":42,\"trace_id\":43981,\
+                 \"span_id\":43982,\"parent_span_id\":0,\"start_ns\":1000000007,\"dur_ns\":3300,\
+                 \"fields\":[{\"queue_ns\":18446744073709551615},\
+                 {\"delta\":-9223372036854775808},{\"share\":0.1},{\"tiny\":0.0000001},\
+                 {\"huge\":1000000000000000000000},{\"nan\":null},{\"cache_hit\":true},\
+                 {\"label\":\"caf\u{e9}\\t\u{1F600}\\u0001\u{7f}/\"}]}",
+            ),
+        ]
+    }
+
+    #[test]
+    fn encoded_frames_match_golden_bytes() {
+        for (frame, golden) in golden_frames() {
+            assert_eq!(String::from_utf8(frame).unwrap(), golden);
+            // The pinned bytes parse back and re-encode to themselves.
+            let line = format!("{golden}\n").into_bytes();
+            if golden.starts_with(r#"{"v":"#) {
+                let request: ReachRequest = decode(golden.as_bytes()).unwrap();
+                assert_eq!(encode(&request), line);
+            } else if !golden.starts_with(r#"{"span":"#) {
+                let ResponseFrame { id, server_timing, response } =
+                    decode_response_frame(golden.as_bytes()).unwrap();
+                assert_eq!(encode_response_frame(id, server_timing.as_ref(), &response), line);
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_is_rejected() {
+        for frame in [
+            &b"{\"kind\":\"error\",\"message\":\"\xff\"}"[..],
+            b"{\"kind\":\"error\",\"message\":\"caf\xc3\"}",
+            b"{\"kind\":\"error\",\"message\":\"\xed\xa0\x80\"}",
+            b"{\"kind\":\"error\",\"message\":\"ok\"}\xff",
+        ] {
+            assert!(matches!(decode::<ReachResponse>(frame), Err(FrameError::Malformed(_))));
+        }
+    }
+
+    #[test]
+    fn string_decode_is_linear_in_frame_bytes() {
+        // Regression for the quadratic string scan: the reader used to
+        // re-validate the whole rest of the frame for every plain character,
+        // which takes minutes on this input. Linear decoding takes
+        // milliseconds even unoptimised; the bound leaves >100x headroom.
+        let unit = "plain ascii, caf\u{e9}, \u{1F600}, \"quoted\" and \\slashed\\ ";
+        let message = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(message.len() >= 1 << 20);
+        let frame = encode(&ReachResponse::Error { message: message.clone() });
+        let start = std::time::Instant::now();
+        let back: ReachResponse = decode(&frame[..frame.len() - 1]).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(back, ReachResponse::Error { message });
+        assert!(elapsed < std::time::Duration::from_secs(3), "1 MiB string took {elapsed:?}");
     }
 
     #[test]

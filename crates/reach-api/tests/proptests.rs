@@ -7,6 +7,33 @@ use reach_api::proto::{
 };
 use uof_telemetry::TraceContext;
 
+/// Characters mixed into the generated strings: the JSON delimiters, every
+/// escape the writer emits (named and `\u00XX`), and 2- and 4-byte UTF-8.
+const SPECIAL: [char; 12] =
+    ['"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{c}', '\u{0}', '\u{1f}', '\u{e9}', '\u{1F600}'];
+
+/// A string from `(pick, char)` pairs: a pick below `SPECIAL.len()` takes
+/// that special character, anything else the arbitrary one (any scalar
+/// below the surrogates — every control character and 1- to 3-byte UTF-8).
+fn mixed(picks: &[(u8, char)]) -> String {
+    picks.iter().map(|&(k, c)| SPECIAL.get(usize::from(k)).copied().unwrap_or(c)).collect()
+}
+
+/// `s` as a JSON string literal with **every** character written as a
+/// `\u` escape (surrogate pairs above the BMP), hex case alternating.
+fn all_unicode_escapes(s: &str) -> String {
+    let mut out = String::from("\"");
+    for (i, unit) in s.encode_utf16().enumerate() {
+        if i % 2 == 0 {
+            out.push_str(&format!("\\u{unit:04x}"));
+        } else {
+            out.push_str(&format!("\\u{unit:04X}"));
+        }
+    }
+    out.push('"');
+    out
+}
+
 proptest! {
     #[test]
     fn request_round_trips(
@@ -103,6 +130,34 @@ proptest! {
         prop_assert_eq!(back.id, id);
         prop_assert_eq!(back.server_timing, timing);
         prop_assert_eq!(back.response, response);
+    }
+
+    #[test]
+    fn arbitrary_strings_round_trip_through_the_codec(
+        message in prop::collection::vec((0u8..24, any::<char>()), 0..40),
+        location in prop::collection::vec((0u8..24, any::<char>()), 0..12),
+        id in any::<u64>(),
+    ) {
+        let message = mixed(&message);
+        let location = mixed(&location);
+        // A response string, on the plain and the id-spliced frame.
+        let response = ReachResponse::Error { message: message.clone() };
+        let frame = encode(&response);
+        let back: ReachResponse = decode(&frame[..frame.len() - 1]).unwrap();
+        prop_assert_eq!(&back, &response);
+        let frame = encode_response_frame(Some(id), None, &response);
+        let back = decode_response_frame(&frame[..frame.len() - 1]).unwrap();
+        prop_assert_eq!(back.id, Some(id));
+        prop_assert_eq!(&back.response, &response);
+        // A request string, next to a plain one.
+        let request = ReachRequest::scalar(vec![location, "US".into()], vec![1, 2]);
+        let frame = encode(&request);
+        let back: ReachRequest = decode(&frame[..frame.len() - 1]).unwrap();
+        prop_assert_eq!(back, request);
+        // Hand-written `\u` escapes decode to the same string.
+        let raw = format!(r#"{{"kind":"error","message":{}}}"#, all_unicode_escapes(&message));
+        let back: ReachResponse = decode(raw.as_bytes()).unwrap();
+        prop_assert_eq!(back, ReachResponse::Error { message });
     }
 
     #[test]

@@ -54,6 +54,9 @@ fn rate_limit_exhaustion_surfaces_as_error() {
     .unwrap();
     let mut client = ReachClient::connect(server.addr()).unwrap();
     client.max_retries = 1;
+    // The bucket never refills, so the server prices the retry at its
+    // 60 s ceiling; cap the sleep so the test does not wait it out.
+    client.max_backoff = std::time::Duration::from_millis(5);
     // First request drains the bucket…
     assert!(client.potential_reach(&["US"], &[0]).is_ok());
     // …the second exhausts the retry budget.
