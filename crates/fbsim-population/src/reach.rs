@@ -22,27 +22,43 @@
 //! interests were uncorrelated. Comparing the two shows why the latent-taste
 //! correlation structure is load-bearing for reproducing the paper.
 //!
-//! # The underflow-cutoff contract (freeze-and-drop)
+//! # One kernel, freeze-and-drop
 //!
-//! Every evaluation path applies one cutoff rule to the per-user running
-//! product: a user whose product has fallen to `≤ 1e-300` is **frozen** —
-//! the product stops updating and the user contributes **nothing** to any
-//! deeper prefix (the first interest always contributes, because every
-//! product starts at `1.0 > 1e-300`). The scalar path
-//! ([`ReachEngine::conjunction_reach_in`]), the one-shot sweep
-//! ([`ReachEngine::nested_reaches_in`]) and the resumable sweep
-//! ([`ReachEngine::sweep_extend`]) all implement exactly this rule, with the
-//! same chunk partition and the same fold order, so
+//! Every path runs one private per-chunk kernel, the only place a running
+//! product is multiplied. It walks the users of one [`CHUNK_USERS`]-sized
+//! chunk of the panel in order, folds the interest sequence into each
+//! user's running product, and adds the product after each interest to
+//! that prefix's sum. Its one rule is the underflow cutoff: a product that
+//! has fallen to `≤ 1e-300` is **frozen** — it is never multiplied again
+//! and contributes **nothing** to any deeper prefix. The paths differ only
+//! in where the products start and which prefix sums they keep:
+//!
+//! * the nested paths ([`ReachEngine::nested_reaches_in`],
+//!   [`ReachEngine::nested_chunk_partials`]) start every in-filter user at
+//!   `1.0` and every other user at `0.0` (already frozen), and keep all
+//!   prefixes;
+//! * the scalar paths ([`ReachEngine::conjunction_reach_in`],
+//!   [`ReachEngine::conjunction_chunk_partials`]) start the same way and
+//!   keep the last prefix (the empty conjunction keeps the in-filter user
+//!   count);
+//! * the resumable sweep ([`ReachEngine::sweep_extend`]) starts from a
+//!   [`SweepState`] and keeps the advanced products.
+//!
+//! The one-shot paths fold the per-chunk sums in ascending chunk order from
+//! `0.0`, exactly as a sharded router merges them, then scale. So
 //! `conjunction_reach_in(&ids[..k], f)` is **bit-identical** to
 //! `nested_reaches_in(ids, f)[k - 1]` for every prefix length `k` — however
-//! the sequence is split across sweep calls and at any thread count. That
-//! equivalence is what lets the serving layer canonicalize a scalar spelling
-//! and a nested prefix of the same conjunction onto one cache entry.
+//! the sequence is split across sweep calls, at any thread count and at any
+//! shard count. That equivalence is what lets the serving layer
+//! canonicalize a scalar spelling and a nested prefix of the same
+//! conjunction onto one cache entry.
+
+use std::ops::Range;
 
 use rayon::prelude::*;
 
-use crate::catalog::{InterestCatalog, InterestId};
-use crate::panel::Panel;
+use crate::catalog::{InterestCatalog, InterestId, TopicId};
+use crate::panel::{Panel, PanelUser};
 
 /// Filter over the targeting universe: a bitmask of country indices
 /// (bit `i` = country `i` of `TARGETING_UNIVERSE`). Bits 50..64 are outside
@@ -176,80 +192,42 @@ impl SweepState {
 /// (pinned by a test).
 pub const CHUNK_USERS: usize = 4_096;
 
-/// Internal alias kept for the existing kernel code.
-const CHUNK: usize = CHUNK_USERS;
-
-/// Per-chunk scalar kernel: the freeze-and-drop sum of per-user conjunction
-/// products over one chunk of panel users (unscaled). This is *the* kernel
-/// both [`ReachEngine::conjunction_reach_in`] and
-/// [`ReachEngine::conjunction_chunk_partials`] run, so a sharded
-/// recomputation is bit-identical to the one-shot path by construction.
-fn scalar_chunk_acc(
-    chunk: &[crate::panel::PanelUser],
-    params: &[(f64, crate::catalog::TopicId)],
-    filter: CountryFilter,
+/// The freeze-and-drop kernel (see the module docs). Folds `params` into
+/// the running product of each user of one chunk, in user order, starting
+/// from `starts` (one product per user) and handing each advanced product
+/// to `advanced`. Element `k` of the result is the sum, in user order, of
+/// the products still live after interest `k` — the chunk's unscaled
+/// contribution to prefix `k + 1`.
+fn fold_chunk(
+    users: &[PanelUser],
+    starts: impl Iterator<Item = f64>,
+    params: &[(f64, TopicId)],
     base: f32,
-) -> f64 {
-    let mut acc = 0.0f64;
-    for user in chunk {
-        if !filter.contains(user.country) {
-            continue;
-        }
-        // Same per-user rule as the sweeps: multiply while the
-        // running product stays above the cutoff; a user frozen
-        // before the last interest contributes nothing. (The
-        // first multiply always happens — the product starts at
-        // 1.0 — so single-interest queries are never dropped.)
-        let mut product = 1.0f64;
-        let mut live = true;
-        for &(score, topic) in params {
+    mut advanced: impl FnMut(f64),
+) -> Vec<f64> {
+    let mut sums = vec![0.0f64; params.len()];
+    for (user, mut product) in users.iter().zip(starts) {
+        for (sum, &(score, topic)) in sums.iter_mut().zip(params) {
             if product > 1e-300 {
                 product *= user.carriage_probability(score, topic, base);
+                *sum += product;
             } else {
-                live = false;
                 break;
             }
         }
-        if live {
-            acc += product;
-        }
+        advanced(product);
     }
-    acc
+    sums
 }
 
-/// Per-chunk nested kernel: the freeze-and-drop per-prefix sums over one
-/// chunk of panel users (unscaled; element `k` is the chunk's contribution
-/// to prefix `k + 1`). Shared by [`ReachEngine::nested_reaches_in`] and
-/// [`ReachEngine::nested_chunk_partials`] — same bit-identity argument as
-/// [`scalar_chunk_acc`].
-fn nested_chunk_acc(
-    chunk: &[crate::panel::PanelUser],
-    params: &[(f64, crate::catalog::TopicId)],
-    filter: CountryFilter,
-    base: f32,
-) -> Vec<f64> {
-    let mut acc = vec![0.0f64; params.len()];
-    let mut products = vec![0.0f64; chunk.len()];
-    // First interest initialises the running products.
-    for (slot, user) in products.iter_mut().zip(chunk) {
-        *slot = if filter.contains(user.country) {
-            user.carriage_probability(params[0].0, params[0].1, base)
-        } else {
-            0.0
-        };
-        acc[0] += *slot;
+/// A user's starting product under `filter`: `1.0` in the filter, `0.0`
+/// (frozen) outside it.
+fn start_product(user: &PanelUser, filter: CountryFilter) -> f64 {
+    if filter.contains(user.country) {
+        1.0
+    } else {
+        0.0
     }
-    for (k, &(score, topic)) in params.iter().enumerate().skip(1) {
-        let mut step = 0.0f64;
-        for (slot, user) in products.iter_mut().zip(chunk) {
-            if *slot > 1e-300 {
-                *slot *= user.carriage_probability(score, topic, base);
-                step += *slot;
-            }
-        }
-        acc[k] = step;
-    }
-    acc
 }
 
 impl<'a> ReachEngine<'a> {
@@ -287,21 +265,8 @@ impl<'a> ReachEngine<'a> {
             interests = ids.len(),
             countries = filter.len(),
         );
-        let base = self.panel.base_affinity();
-        let params: Vec<(f64, crate::catalog::TopicId)> = ids
-            .iter()
-            .map(|&id| {
-                let i = self.catalog.interest(id);
-                (i.score, i.topic)
-            })
-            .collect();
-        let sum: f64 = self
-            .panel
-            .users()
-            .par_chunks(CHUNK)
-            .map(|chunk| scalar_chunk_acc(chunk, &params, filter, base))
-            .sum();
-        sum * self.panel.scale()
+        let partials = self.scalar_partials(ids, filter, &self.all_chunks());
+        partials.into_iter().fold(0.0, |sum, p| sum + p) * self.panel.scale()
     }
 
     /// Reach of every prefix of `ids`: element `k` is the audience of the
@@ -327,29 +292,8 @@ impl<'a> ReachEngine<'a> {
             interests = ids.len(),
             countries = filter.len(),
         );
-        let base = self.panel.base_affinity();
-        let params: Vec<(f64, crate::catalog::TopicId)> = ids
-            .iter()
-            .map(|&id| {
-                let i = self.catalog.interest(id);
-                (i.score, i.topic)
-            })
-            .collect();
-        let sums: Vec<f64> = self
-            .panel
-            .users()
-            .par_chunks(CHUNK)
-            .map(|chunk| nested_chunk_acc(chunk, &params, filter, base))
-            .reduce(
-                || vec![0.0f64; params.len()],
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x += y;
-                    }
-                    a
-                },
-            );
-        sums.into_iter().map(|s| s * self.panel.scale()).collect()
+        let partials = self.filtered_partials(ids, filter, &self.all_chunks());
+        self.reaches(partials, ids.len())
     }
 
     /// Starts a resumable nested sweep restricted to `filter`: every
@@ -359,17 +303,12 @@ impl<'a> ReachEngine<'a> {
     /// Folding interests into the state with [`ReachEngine::sweep_extend`]
     /// yields exactly the prefix reaches [`ReachEngine::nested_reaches_in`]
     /// would compute — bit-identically, however the sequence is split
-    /// across extend calls — because the per-user multiply order, the chunk
-    /// partition and the chunk-order reduction are all identical. The state
-    /// is what a prefix-memoizing cache stores so a sweep extending an
-    /// already-seen prefix only pays for the tail.
+    /// across extend calls — because both run the same kernel from the
+    /// same starting products (see the module docs). The state is what a
+    /// prefix-memoizing cache stores so a sweep extending an already-seen
+    /// prefix only pays for the tail.
     pub fn sweep_begin(&self, filter: CountryFilter) -> SweepState {
-        let products = self
-            .panel
-            .users()
-            .iter()
-            .map(|user| if filter.contains(user.country) { 1.0 } else { 0.0 })
-            .collect();
+        let products = self.panel.users().iter().map(|user| start_product(user, filter)).collect();
         SweepState { products, filter, depth: 0 }
     }
 
@@ -390,49 +329,26 @@ impl<'a> ReachEngine<'a> {
         }
         let _span =
             uof_telemetry::span!("engine.sweep_extend", depth = state.depth(), tail = tail.len(),);
+        let params = self.params(tail);
         let base = self.panel.base_affinity();
-        let params: Vec<(f64, crate::catalog::TopicId)> = tail
-            .iter()
-            .map(|&id| {
-                let i = self.catalog.interest(id);
-                (i.score, i.topic)
+        let per_chunk: Vec<(Vec<f64>, Vec<f64>)> = self
+            .all_chunks()
+            .par_iter()
+            .map(|&c| {
+                let range = self.chunk_range(c);
+                let starts = state.products[range.clone()].iter().copied();
+                let mut advanced = Vec::with_capacity(range.len());
+                let users = &self.panel.users()[range];
+                let partial = fold_chunk(users, starts, &params, base, |p| advanced.push(p));
+                (partial, advanced)
             })
             .collect();
-        let users = self.panel.users();
-        let nchunks = n.div_ceil(CHUNK);
-        // Same CHUNK partition as `nested_reaches_in`, and `collect`
-        // preserves chunk order, so folding the per-chunk partials below in
-        // that order reproduces its reduction tree exactly.
-        let per_chunk: Vec<(Vec<f64>, Vec<f64>)> = (0..nchunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * CHUNK;
-                let hi = ((c + 1) * CHUNK).min(n);
-                let chunk = &users[lo..hi];
-                let mut slots = state.products[lo..hi].to_vec();
-                let mut acc = vec![0.0f64; params.len()];
-                for (k, &(score, topic)) in params.iter().enumerate() {
-                    let mut step = 0.0f64;
-                    for (slot, user) in slots.iter_mut().zip(chunk) {
-                        if *slot > 1e-300 {
-                            *slot *= user.carriage_probability(score, topic, base);
-                            step += *slot;
-                        }
-                    }
-                    acc[k] = step;
-                }
-                (acc, slots)
-            })
-            .collect();
-        let mut sums = vec![0.0f64; params.len()];
         let mut products = Vec::with_capacity(n);
-        for (acc, slots) in per_chunk {
-            for (x, y) in sums.iter_mut().zip(&acc) {
-                *x += *y;
-            }
-            products.extend_from_slice(&slots);
-        }
-        let reaches = sums.into_iter().map(|s| s * self.panel.scale()).collect();
+        let partials = per_chunk.into_iter().map(|(partial, advanced)| {
+            products.extend_from_slice(&advanced);
+            partial
+        });
+        let reaches = self.reaches(partials, tail.len());
         let next = SweepState { products, filter: state.filter, depth: state.depth + tail.len() };
         (reaches, next)
     }
@@ -457,7 +373,7 @@ impl<'a> ReachEngine<'a> {
     /// Number of [`CHUNK_USERS`]-sized chunks in the panel partition — the
     /// unit of sharding (see [`crate::shard`]).
     pub fn chunk_count(&self) -> usize {
-        self.panel.len().div_ceil(CHUNK)
+        self.panel.len().div_ceil(CHUNK_USERS)
     }
 
     /// Per-chunk **unscaled** scalar partials for the given global chunk
@@ -468,11 +384,9 @@ impl<'a> ReachEngine<'a> {
     /// Folding the partials of *all* chunks `0..chunk_count()` into an
     /// `0.0`-initialised accumulator in **ascending chunk order** and
     /// multiplying by the panel scale reproduces
-    /// [`ReachEngine::conjunction_reach_in`] bit for bit: the kernel is
-    /// shared, and the vendored rayon `sum` folds block partials in block
-    /// order from `0.0` (and `0.0 + x == x` bitwise for these non-negative
-    /// sums). This is the sharding determinism contract the router relies
-    /// on.
+    /// [`ReachEngine::conjunction_reach_in`] bit for bit: that is how the
+    /// one-shot path folds them. This is the sharding determinism contract
+    /// the router relies on.
     ///
     /// # Panics
     ///
@@ -489,27 +403,7 @@ impl<'a> ReachEngine<'a> {
             interests = ids.len(),
             chunks = chunks.len(),
         );
-        let base = self.panel.base_affinity();
-        let params: Vec<(f64, crate::catalog::TopicId)> = ids
-            .iter()
-            .map(|&id| {
-                let i = self.catalog.interest(id);
-                (i.score, i.topic)
-            })
-            .collect();
-        let users = self.panel.users();
-        let n = users.len();
-        let nchunks = self.chunk_count();
-        chunks
-            .par_chunks(1)
-            .map(|slot| {
-                let c = slot[0];
-                assert!(c < nchunks, "chunk index {c} out of range (panel has {nchunks} chunks)");
-                let lo = c * CHUNK;
-                let hi = ((c + 1) * CHUNK).min(n);
-                scalar_chunk_acc(&users[lo..hi], &params, filter, base)
-            })
-            .collect()
+        self.scalar_partials(ids, filter, chunks)
     }
 
     /// Per-chunk **unscaled** nested partials for the given global chunk
@@ -536,30 +430,82 @@ impl<'a> ReachEngine<'a> {
             interests = ids.len(),
             chunks = chunks.len(),
         );
-        if ids.is_empty() {
-            return vec![Vec::new(); chunks.len()];
+        self.filtered_partials(ids, filter, chunks)
+    }
+
+    /// Folds per-chunk prefix sums (`len` each) in ascending chunk order
+    /// from `0.0` — the order a sharded router merges them in — and scales
+    /// the totals.
+    fn reaches(&self, partials: impl IntoIterator<Item = Vec<f64>>, len: usize) -> Vec<f64> {
+        let mut sums = vec![0.0f64; len];
+        for partial in partials {
+            for (sum, p) in sums.iter_mut().zip(partial) {
+                *sum += p;
+            }
         }
-        let base = self.panel.base_affinity();
-        let params: Vec<(f64, crate::catalog::TopicId)> = ids
-            .iter()
+        sums.into_iter().map(|s| s * self.panel.scale()).collect()
+    }
+
+    /// Every chunk index, in ascending order.
+    fn all_chunks(&self) -> Vec<usize> {
+        (0..self.chunk_count()).collect()
+    }
+
+    /// The panel users of chunk `c`.
+    fn chunk_range(&self, c: usize) -> Range<usize> {
+        let nchunks = self.chunk_count();
+        assert!(c < nchunks, "chunk index {c} out of range (panel has {nchunks} chunks)");
+        c * CHUNK_USERS..((c + 1) * CHUNK_USERS).min(self.panel.len())
+    }
+
+    /// The kernel's view of an interest sequence: `(score, topic)` pairs.
+    fn params(&self, ids: &[InterestId]) -> Vec<(f64, TopicId)> {
+        ids.iter()
             .map(|&id| {
                 let i = self.catalog.interest(id);
                 (i.score, i.topic)
             })
-            .collect();
-        let users = self.panel.users();
-        let n = users.len();
-        let nchunks = self.chunk_count();
+            .collect()
+    }
+
+    /// The kernel's prefix sums over each of `chunks`, starting from
+    /// `filter`; computed in parallel, returned in `chunks` order.
+    fn filtered_partials(
+        &self,
+        ids: &[InterestId],
+        filter: CountryFilter,
+        chunks: &[usize],
+    ) -> Vec<Vec<f64>> {
+        let params = self.params(ids);
+        let base = self.panel.base_affinity();
         chunks
-            .par_chunks(1)
-            .map(|slot| {
-                let c = slot[0];
-                assert!(c < nchunks, "chunk index {c} out of range (panel has {nchunks} chunks)");
-                let lo = c * CHUNK;
-                let hi = ((c + 1) * CHUNK).min(n);
-                nested_chunk_acc(&users[lo..hi], &params, filter, base)
+            .par_iter()
+            .map(|&c| {
+                let users = &self.panel.users()[self.chunk_range(c)];
+                let starts = users.iter().map(|user| start_product(user, filter));
+                fold_chunk(users, starts, &params, base, |_| {})
             })
             .collect()
+    }
+
+    /// The last prefix sum of each of `chunks` from
+    /// [`Self::filtered_partials`], or for the empty conjunction each
+    /// chunk's in-filter user count.
+    fn scalar_partials(
+        &self,
+        ids: &[InterestId],
+        filter: CountryFilter,
+        chunks: &[usize],
+    ) -> Vec<f64> {
+        if ids.is_empty() {
+            let count = |c| {
+                let users = &self.panel.users()[self.chunk_range(c)];
+                users.iter().filter(|user| filter.contains(user.country)).count() as f64
+            };
+            return chunks.iter().map(|&c| count(c)).collect();
+        }
+        let partials = self.filtered_partials(ids, filter, chunks);
+        partials.into_iter().map(|partial| partial[ids.len() - 1]).collect()
     }
 }
 

@@ -247,3 +247,127 @@ fn calibrated_audiences_follow_fig2_shape() {
     // shape error; it must stay small (the quartile match is ~6%).
     assert!(d < 0.12, "KS distance {d} against the Fig.-2 target shape");
 }
+
+/// A world whose panel spans three engine chunks (the last one partial),
+/// so the chunk partition and the chunk-order fold are exercised.
+fn golden_world() -> &'static World {
+    static WORLD: OnceLock<World> = OnceLock::new();
+    WORLD.get_or_init(|| {
+        let mut cfg = WorldConfig::test_scale(123);
+        cfg.n_interests = 500;
+        cfg.panel_size = 10_000;
+        World::generate(cfg).unwrap()
+    })
+}
+
+/// Every engine path's answer for a fixed set of queries, as `to_bits`.
+fn golden_engine_values() -> Vec<(String, u64)> {
+    let engine = golden_world().reach_engine();
+    let ids: Vec<InterestId> = [3u32, 41, 97, 160, 222, 305, 499].map(InterestId).to_vec();
+    let three = CountryFilter::of(&[0, 3, 17]);
+    let filters = [("all", CountryFilter::ALL), ("three", three)];
+    let mut out = Vec::new();
+    let mut push = |label: String, values: &[f64]| {
+        for (k, v) in values.iter().enumerate() {
+            out.push((format!("{label}[{k}]"), v.to_bits()));
+        }
+    };
+    for (name, filter) in filters {
+        push(format!("scalar.{name}"), &[engine.conjunction_reach_in(&ids, filter)]);
+        push(format!("nested.{name}"), &engine.nested_reaches_in(&ids, filter));
+        push(format!("empty.{name}"), &[engine.conjunction_reach_in(&[], filter)]);
+    }
+    let state = engine.sweep_begin(three);
+    let (head, state) = engine.sweep_extend(&state, &ids[..3]);
+    let (tail, _) = engine.sweep_extend(&state, &ids[3..]);
+    push("sweep.head".into(), &head);
+    push("sweep.tail".into(), &tail);
+    let ends = [0, engine.chunk_count() - 1];
+    push("chunk.scalar".into(), &engine.conjunction_chunk_partials(&ids, three, &ends));
+    push("chunk.empty".into(), &engine.conjunction_chunk_partials(&[], three, &ends));
+    for (c, partials) in engine.nested_chunk_partials(&ids, three, &ends).iter().enumerate() {
+        push(format!("chunk.nested{c}"), partials);
+    }
+    let deep: Vec<InterestId> = (0..400u32).map(|i| InterestId(i * 7 % 500)).collect();
+    let nested = engine.nested_reaches_in(&deep, CountryFilter::ALL);
+    for k in [1, 50, 400] {
+        push(format!("deep.nested{k}"), &[nested[k - 1]]);
+        push(
+            format!("deep.scalar{k}"),
+            &[engine.conjunction_reach_in(&deep[..k], CountryFilter::ALL)],
+        );
+    }
+    out
+}
+
+/// `to_bits` of every engine path's answer on [`golden_world`]. The other
+/// tests compare the paths with each other; this one pins the values, so a
+/// change that moves every path together fails too. Re-record it only for
+/// a deliberate change to the engine's arithmetic.
+const GOLDEN_ENGINE_BITS: &[(&str, u64)] = &[
+    ("scalar.all[0]", 0x3ff2661c35621915),
+    ("nested.all[0]", 0x412c790316d066f6),
+    ("nested.all[1]", 0x40d02e83417fa3ef),
+    ("nested.all[2]", 0x408ed7da7229c656),
+    ("nested.all[3]", 0x4081751411cb8b81),
+    ("nested.all[4]", 0x406236ea0a27b0dc),
+    ("nested.all[5]", 0x405acb4d03422125),
+    ("nested.all[6]", 0x3ff2661c35621915),
+    ("empty.all[0]", 0x416312d000000000),
+    ("scalar.three[0]", 0x3fcb20c6e01e461b),
+    ("nested.three[0]", 0x410908233c1ab3f8),
+    ("nested.three[1]", 0x40a9279ea63770f2),
+    ("nested.three[2]", 0x40717c0987b40494),
+    ("nested.three[3]", 0x40655b75510fb887),
+    ("nested.three[4]", 0x404221c4aaa2e5ee),
+    ("nested.three[5]", 0x403815992ae8eb70),
+    ("nested.three[6]", 0x3fcb20c6e01e461b),
+    ("empty.three[0]", 0x4140347000000000),
+    ("sweep.head[0]", 0x410908233c1ab3f8),
+    ("sweep.head[1]", 0x40a9279ea63770f2),
+    ("sweep.head[2]", 0x40717c0987b40494),
+    ("sweep.tail[0]", 0x40655b75510fb887),
+    ("sweep.tail[1]", 0x404221c4aaa2e5ee),
+    ("sweep.tail[2]", 0x403815992ae8eb70),
+    ("sweep.tail[3]", 0x3fcb20c6e01e461b),
+    ("chunk.scalar[0]", 0x3edd0637ed778544),
+    ("chunk.scalar[1]", 0x3f16b8a69cea159c),
+    ("chunk.empty[0]", 0x408a900000000000),
+    ("chunk.empty[1]", 0x4078c00000000000),
+    ("chunk.nested0[0]", 0x4053de35f7a9ba90),
+    ("chunk.nested0[1]", 0x3ff296a066055b3a),
+    ("chunk.nested0[2]", 0x3fb2733ffd765f05),
+    ("chunk.nested0[3]", 0x3f9e3d1f814197bf),
+    ("chunk.nested0[4]", 0x3f70bb11f7c3d29f),
+    ("chunk.nested0[5]", 0x3f60cd0938614cff),
+    ("chunk.nested0[6]", 0x3edd0637ed778544),
+    ("chunk.nested1[0]", 0x404819db720ea0da),
+    ("chunk.nested1[1]", 0x3feb0fe14f137a00),
+    ("chunk.nested1[2]", 0x3fa4b72afa664171),
+    ("chunk.nested1[3]", 0x3f97b666a7775204),
+    ("chunk.nested1[4]", 0x3f67ba73ff484ce7),
+    ("chunk.nested1[5]", 0x3f565b8da0b72440),
+    ("chunk.nested1[6]", 0x3f16b8a69cea159c),
+    ("deep.nested1[0]", 0x413bffac0e484e54),
+    ("deep.scalar1[0]", 0x413bffac0e484e54),
+    ("deep.nested50[0]", 0x35bdda8a280358d9),
+    ("deep.scalar50[0]", 0x35bdda8a280358d9),
+    ("deep.nested400[0]", 0x0000000000000000),
+    ("deep.scalar400[0]", 0x0000000000000000),
+];
+
+#[test]
+fn engine_values_match_golden_bits() {
+    let got = golden_engine_values();
+    assert_eq!(got.len(), GOLDEN_ENGINE_BITS.len());
+    for ((label, bits), &(want_label, want)) in got.iter().zip(GOLDEN_ENGINE_BITS) {
+        assert_eq!(label, want_label);
+        assert_eq!(
+            *bits,
+            want,
+            "{label}: {} vs golden {}",
+            f64::from_bits(*bits),
+            f64::from_bits(want)
+        );
+    }
+}

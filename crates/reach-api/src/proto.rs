@@ -430,17 +430,8 @@ impl<'de> Deserialize<'de> for ServerTiming {
                 cache_hit: u64::from_value(&items[2])? != 0,
                 engine_ns: u64::from_value(&items[3])?,
             }),
-            // Named-object form accepted for hand-written frames and
-            // pre-compaction peers.
-            serde::Value::Object(_) => Ok(ServerTiming {
-                queue_ns: u64::from_value(serde::field(value, "queue_ns")?)?,
-                handler_ns: u64::from_value(serde::field(value, "handler_ns")?)?,
-                cache_hit: bool::from_value(serde::field(value, "cache_hit")?)?,
-                engine_ns: u64::from_value(serde::field(value, "engine_ns")?)?,
-            }),
             other => Err(serde::Error::msg(format!(
-                "expected [queue_ns, handler_ns, cache_hit, engine_ns] or a \
-                 server-timing object, got {other:?}"
+                "expected [queue_ns, handler_ns, cache_hit, engine_ns], got {other:?}"
             ))),
         }
     }
@@ -455,8 +446,6 @@ struct ExtensionsProbe {
     id: Option<u64>,
     #[serde(default)]
     st: Option<ServerTiming>,
-    #[serde(default)]
-    server_timing: Option<ServerTiming>,
 }
 
 /// A decoded response frame: the body plus the optional spliced
@@ -597,10 +586,7 @@ fn decode_spliced_fast(frame: &[u8]) -> Option<ResponseFrame> {
     // the two paths can never disagree (a false hit inside a string value
     // merely costs the fallback parse).
     let rest = &frame[pos..];
-    if contains(rest, b"\"id\":")
-        || contains(rest, b"\"st\":")
-        || contains(rest, b"\"server_timing\":")
-    {
+    if contains(rest, b"\"id\":") || contains(rest, b"\"st\":") {
         return None;
     }
     let mut body = Vec::with_capacity(frame.len() + 1 - pos);
@@ -621,7 +607,7 @@ pub fn decode_response_frame(frame: &[u8]) -> Result<ResponseFrame, FrameError> 
     }
     let probe: ExtensionsProbe = decode(frame)?;
     let response: ReachResponse = decode(frame)?;
-    Ok(ResponseFrame { id: probe.id, server_timing: probe.st.or(probe.server_timing), response })
+    Ok(ResponseFrame { id: probe.id, server_timing: probe.st, response })
 }
 
 #[cfg(test)]
@@ -811,11 +797,7 @@ mod tests {
             let fast = decode_spliced_fast(frame);
             let probe: ExtensionsProbe = decode(frame).unwrap();
             let body: ReachResponse = decode(frame).unwrap();
-            let general = ResponseFrame {
-                id: probe.id,
-                server_timing: probe.st.or(probe.server_timing),
-                response: body,
-            };
+            let general = ResponseFrame { id: probe.id, server_timing: probe.st, response: body };
             if id.is_some() || timing.is_some() {
                 assert_eq!(fast.as_ref(), Some(&general));
             } else {
@@ -826,14 +808,19 @@ mod tests {
         // Extensions in an order our server never produces: the fast path
         // must bail (not silently drop the out-of-place key) and the
         // general path still extracts both.
-        let reordered = br#"{"server_timing":{"queue_ns":1,"handler_ns":2,"cache_hit":true,"engine_ns":3},"id":7,"kind":"reach","reported":9000,"floored":true,"too_narrow_warning":false}"#;
-        assert_eq!(decode_spliced_fast(reordered), None);
-        let decoded = decode_response_frame(reordered).unwrap();
-        assert_eq!(decoded.id, Some(7));
-        assert_eq!(
-            decoded.server_timing,
-            Some(ServerTiming { queue_ns: 1, handler_ns: 2, cache_hit: true, engine_ns: 3 })
-        );
+        let reordered: [&[u8]; 2] = [
+            br#"{"st":[1,2,1,3],"id":7,"kind":"reach","reported":9000,"floored":true,"too_narrow_warning":false}"#,
+            br#"{"id":7,"kind":"reach","reported":9000,"floored":true,"too_narrow_warning":false,"st":[1,2,1,3]}"#,
+        ];
+        for frame in reordered {
+            assert_eq!(decode_spliced_fast(frame), None);
+            let decoded = decode_response_frame(frame).unwrap();
+            assert_eq!(decoded.id, Some(7));
+            assert_eq!(
+                decoded.server_timing,
+                Some(ServerTiming { queue_ns: 1, handler_ns: 2, cache_hit: true, engine_ns: 3 })
+            );
+        }
         // Whitespace (not our byte shape) also falls back — and decodes.
         let spaced = br#"{"id": 7, "kind": "reach", "reported": 9000, "floored": true, "too_narrow_warning": false}"#;
         assert_eq!(decode_spliced_fast(spaced), None);

@@ -553,11 +553,13 @@ fn handle_connection(
 }
 
 /// Per-opcode metric names: `(counter, latency-span)` pairs. The span name
-/// doubles as the histogram name the duration lands in.
+/// doubles as the histogram name the duration lands in. Rows are in the
+/// order `answer` and the router's `route` test the opcode flags, so a
+/// frame that sets several is counted under the opcode that answers it.
 pub(crate) const OPCODE_NAMES: [(&str, &str); 6] = [
-    ("reach.requests.shard", "reach.request.shard"),
     ("reach.requests.snapshot", "reach.request.snapshot"),
     ("reach.requests.stats", "reach.request.stats"),
+    ("reach.requests.shard", "reach.request.shard"),
     ("reach.requests.nested", "reach.request.nested"),
     ("reach.requests.sampled", "reach.request.sampled"),
     ("reach.requests.scalar", "reach.request.scalar"),
@@ -565,11 +567,11 @@ pub(crate) const OPCODE_NAMES: [(&str, &str); 6] = [
 
 /// The [`OPCODE_NAMES`] row for `request`'s wire opcode.
 fn opcode_index(request: &ReachRequest) -> usize {
-    if request.shard == Some(true) {
+    if request.snapshot == Some(true) {
         0
-    } else if request.snapshot == Some(true) {
-        1
     } else if request.stats == Some(true) {
+        1
+    } else if request.shard == Some(true) {
         2
     } else if request.nested == Some(true) {
         3

@@ -153,6 +153,30 @@ fn v1_frames_without_extension_keys_still_served() {
 }
 
 #[test]
+fn frames_with_several_opcode_flags_are_metered_under_the_answering_opcode() {
+    // `stats` outranks `shard` when a server picks its answer, so the
+    // frame's counter and latency histogram must be the stats ones too.
+    let server = telemetry_server();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut stream = stream;
+    stream
+        .write_all(b"{\"v\":1,\"locations\":[],\"interests\":[],\"stats\":true,\"shard\":true}\n")
+        .unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let response: ReachResponse = serde_json::from_str(line.trim_end()).unwrap();
+    assert!(matches!(response, ReachResponse::Stats { .. }), "{response:?}");
+
+    let mut client = ReachClient::connect(server.addr()).unwrap();
+    let registry = client.telemetry_snapshot().unwrap();
+    assert_eq!(registry.counter("reach.requests.stats"), Some(1), "{registry:?}");
+    assert_eq!(registry.counter("reach.requests.shard"), None, "{registry:?}");
+    assert_eq!(registry.histogram("reach.request.stats").map(|h| h.count), Some(1));
+    assert!(registry.histogram("reach.request.shard").is_none(), "{registry:?}");
+}
+
+#[test]
 fn disabled_telemetry_is_inert_and_answers_match() {
     let off = ReachServer::start(
         test_world(),

@@ -12,7 +12,12 @@
 # once with the posting-list index enabled (UOF_REACH_INDEX=1), so the
 # sampled-count path cannot perturb the float oracle. Tests that assert
 # cache, telemetry, or index behaviour construct explicit configs and are
-# immune to the sweeps.
+# immune to the sweeps. The root manifest's `default-members` take in every
+# crate, so each sweep already runs the router and marketplace suites at
+# its thread count; they get no separate runs.
+#
+# Last, a traced smoke run checks that `xtask trace-report` rebuilds at
+# least one complete trace from a real trace file.
 #
 # Each step fails fast; run from anywhere inside the repo.
 set -euo pipefail
@@ -52,20 +57,10 @@ UOF_TELEMETRY=1 cargo test -q
 echo "==> cargo test -q (UOF_REACH_INDEX=1, posting-list index enabled)"
 UOF_REACH_INDEX=1 cargo test -q
 
-echo "==> router smoke sweep (sharded mode bit-identity, UOF_THREADS=1 and default)"
-UOF_THREADS=1 cargo test -q -p reach-api --test router
-cargo test -q -p reach-api --test router
-
 echo "==> traced smoke sweep (UOF_TELEMETRY=1 + trace path; trace-report must reconstruct >= 1 complete trace)"
 TRACE_JSONL="$(mktemp)"
 UOF_TELEMETRY=1 UOF_TELEMETRY_TRACE_PATH="$TRACE_JSONL" cargo test -q -p reach-api --test loopback
 cargo run -q -p xtask -- trace-report "$TRACE_JSONL" --min-complete 1 > /dev/null
 rm -f "$TRACE_JSONL"
-
-echo "==> marketplace smoke sweep (auction/pacing determinism + zero-competition bit-identity, UOF_THREADS=1 and default)"
-UOF_THREADS=1 cargo test -q -p fbsim-marketplace
-UOF_THREADS=1 cargo test -q --test marketplace_equivalence
-cargo test -q -p fbsim-marketplace
-cargo test -q --test marketplace_equivalence
 
 echo "==> all checks passed"
